@@ -18,7 +18,7 @@ fn bench_similarity_join_states(c: &mut Criterion) {
     g.sample_size(20);
     let (corpus, task) = engines(40);
 
-    // unrefined: contain cells → token-prefilter path
+    // unrefined: contain cells → inverted-index join, maybe pairs
     g.bench_function(BenchmarkId::new("unrefined_prefilter", 40), |b| {
         let mut eng = task.engine(&corpus);
         b.iter(|| black_box(eng.run(&task.program).unwrap().len()))

@@ -1707,7 +1707,9 @@ impl Engine {
                     let offset = *offset;
                     let left = left.clone();
                     let right = right.clone();
-                    return self.fused_join(jl, jr, computed, sample, span, move |ec, cells| {
+                    let l = self.eval_plan(jl, computed, sample, span)?;
+                    let r = self.eval_plan(jr, computed, sample, span)?;
+                    return self.fused_join(l, r, span, move |ec, cells| {
                         let lc = ec.cell_operand_cands(&left, cells);
                         let rc = shift_cands(
                             ec.cell_operand_cands(&right, cells),
@@ -1751,7 +1753,9 @@ impl Engine {
             Plan::VarUnify { input, col_a, col_b } => {
                 if let Plan::CrossJoin { left: jl, right: jr } = input.as_ref() {
                     let (a, b) = (*col_a, *col_b);
-                    return self.fused_join(jl, jr, computed, sample, span, move |ec, cells| {
+                    let l = self.eval_plan(jl, computed, sample, span)?;
+                    let r = self.eval_plan(jr, computed, sample, span)?;
+                    return self.fused_join(l, r, span, move |ec, cells| {
                         cells_may_equal(cells[a], cells[b], &ec.store, ec.limits.cmp_enum_cap)
                     });
                 }
@@ -1792,28 +1796,25 @@ impl Engine {
                     return Err(EngineError::BadProcedure(name.clone()));
                 };
                 let f = f.clone();
-                // Approximate string join: similar(a, b) over a cross join
-                // with one column per side runs through a token prefilter
-                // with per-side precomputed profiles (§4.1's "significantly
-                // more involved" join; see DESIGN.md).
-                if let (Plan::CrossJoin { left: jl, right: jr }, true, [ca, cb]) = (
-                    input.as_ref(),
-                    name == "similar" || name == "approxMatch",
-                    cols.as_slice(),
-                ) {
+                if let Plan::CrossJoin { left: jl, right: jr } = input.as_ref() {
                     let l = self.eval_plan(jl, computed, sample, span)?;
                     let r = self.eval_plan(jr, computed, sample, span)?;
-                    if *ca < l.arity() && *cb >= l.arity() {
-                        let rcol = *cb - l.arity();
-                        return self.similar_join(l, r, *ca, rcol, span);
+                    // similar(a, b) with one column per side: the inverted-
+                    // index join (§4.1, DESIGN.md). Containment is symmetric,
+                    // so either argument order takes it.
+                    let similar = name == "similar" || name == "approxMatch";
+                    if let (true, &[ca, cb]) = (similar, cols.as_slice()) {
+                        let la = l.arity();
+                        if (ca < la) != (cb < la) {
+                            let (lc, rc) = if ca < la { (ca, cb) } else { (cb, ca) };
+                            return self.similar_join(l, r, lc, rc - la, span);
+                        }
                     }
-                }
-                if let Plan::CrossJoin { left: jl, right: jr } = input.as_ref() {
                     let cols = cols.clone();
                     let combo_cap = self.limits.combo_cap;
                     let enum_cap = self.limits.enum_cap;
                     let ff = f.clone();
-                    return self.fused_join(jl, jr, computed, sample, span, move |ec, cells| {
+                    return self.fused_join(l, r, span, move |ec, cells| {
                         let cands: Vec<Cands> = cols
                             .iter()
                             .map(|&c| {
@@ -2118,22 +2119,18 @@ impl Engine {
         }
     }
 
-    /// Streams the cross product of two sub-plans, keeping only pairs the
+    /// Streams the cross product of two tables, keeping only pairs the
     /// predicate admits (may = true). The full product is never
     /// materialized — essential for the large similarity joins. With
     /// `Limits::threads > 1` the outer side is morsel-scattered across
     /// the run's worker pool (the predicate only reads the [`EvalCtx`]).
     fn fused_join(
         &mut self,
-        left: &Plan,
-        right: &Plan,
-        computed: &BTreeMap<String, Arc<CompactTable>>,
-        sample: Option<Sample>,
+        l: Arc<CompactTable>,
+        r: Arc<CompactTable>,
         span: SpanId,
         pred: impl Fn(&EvalCtx, &[&Cell]) -> crate::eval::MayMust + Send + Sync + 'static,
     ) -> Result<Arc<CompactTable>, EngineError> {
-        let l = self.eval_plan(left, computed, sample, span)?;
-        let r = self.eval_plan(right, computed, sample, span)?;
         let mut cols = l.columns().to_vec();
         cols.extend(r.columns().iter().cloned());
         let cap = self.limits.max_result_tuples;
@@ -2186,9 +2183,11 @@ impl Engine {
         Ok(Arc::new(out))
     }
 
-    /// Token-prefilter similarity join: precomputes a [`SimProfile`] per
-    /// side and keeps only pairs that may match. Exact (non-maybe) when
-    /// both cells are singletons.
+    /// Inverted-index similarity join ("ScanCount"): interns both sides'
+    /// tokens, indexes the right side by token, and counts each left row's
+    /// shared tokens per right row. A pair survives iff it shares a token
+    /// (`maybe`), except singleton × singleton pairs, which take the exact
+    /// containment test and are certain. Output is in (left, right) order.
     fn similar_join(
         &mut self,
         l: Arc<CompactTable>,
@@ -2197,29 +2196,44 @@ impl Engine {
         rcol: usize,
         span: SpanId,
     ) -> Result<Arc<CompactTable>, EngineError> {
-        let profile = |cell: &Cell| -> crate::similarity::SimProfile {
-            let mut tokens = std::collections::BTreeSet::new();
-            for a in cell.assignments() {
-                match a {
-                    iflex_ctable::Assignment::Exact(v) => {
-                        tokens.extend(crate::similarity::norm_tokens(&v.as_text(&self.store)));
+        let store = &self.store;
+        let mut dict: HashMap<String, u32> = HashMap::new();
+        // Per cell: its sorted, distinct token ids and whether it encodes
+        // exactly one value.
+        let mut profiles = |t: &CompactTable, col: usize| -> Vec<(Vec<u32>, bool)> {
+            t.tuples()
+                .iter()
+                .map(|tup| {
+                    let cell = &tup.cells[col];
+                    let mut ids = Vec::new();
+                    for a in cell.assignments() {
+                        let text = match a {
+                            Assignment::Exact(v) => v.as_text(store),
+                            Assignment::Contain(s) => store.span_text(s).into(),
+                        };
+                        crate::similarity::each_token(&text, |tok| {
+                            let next = dict.len() as u32;
+                            ids.push(dict.get(tok).copied().unwrap_or_else(|| {
+                                dict.insert(tok.to_owned(), next);
+                                next
+                            }));
+                        });
                     }
-                    iflex_ctable::Assignment::Contain(s) => {
-                        tokens.extend(crate::similarity::norm_tokens(
-                            self.store.span_text(s),
-                        ));
-                    }
-                }
-            }
-            let singleton = cell
-                .singleton(&self.store)
-                .map(|v| v.as_text(&self.store).to_string());
-            crate::similarity::SimProfile { tokens, singleton }
+                    ids.sort_unstable();
+                    ids.dedup();
+                    (ids, cell.singleton(store).is_some())
+                })
+                .collect()
         };
-        let lprof: Arc<Vec<_>> =
-            Arc::new(l.tuples().iter().map(|t| profile(&t.cells[lcol])).collect());
-        let rprof: Arc<Vec<_>> =
-            Arc::new(r.tuples().iter().map(|t| profile(&t.cells[rcol])).collect());
+        let lprof = profiles(&l, lcol);
+        let rprof = profiles(&r, rcol);
+        // Posting lists: token id → ascending right row ids.
+        let mut postings: Vec<Vec<u32>> = vec![Vec::new(); dict.len()];
+        for (j, (ids, _)) in rprof.iter().enumerate() {
+            for &t in ids {
+                postings[t as usize].push(j as u32);
+            }
+        }
         let mut cols = l.columns().to_vec();
         cols.extend(r.columns().iter().cloned());
         let cap = self.limits.max_result_tuples;
@@ -2228,33 +2242,50 @@ impl Engine {
         // their tuples, so a morsel is a contiguous index range into both.
         let mr = {
             let ec = self.eval_ctx();
-            let l = Arc::clone(&l);
-            let r = Arc::clone(&r);
-            let (lprof, rprof) = (Arc::clone(&lprof), Arc::clone(&rprof));
             crate::par::scatter(&self.section_ctx(span), l.len(), move |range| {
                 let mut out = Vec::new();
+                let mut overlap = vec![0u32; r.len()];
+                let mut touched: Vec<u32> = Vec::new();
                 for i in range {
+                    // Ticked per outer row too, so a row without any
+                    // candidate still sees the deadline.
+                    ec.clock.tick().map_err(EngineError::from)?;
+                    let (lids, lsingle) = &lprof[i];
+                    for &t in lids {
+                        for &j in &postings[t as usize] {
+                            let c = &mut overlap[j as usize];
+                            if *c == 0 {
+                                touched.push(j);
+                            }
+                            *c += 1;
+                        }
+                    }
+                    touched.sort_unstable();
                     let lt = &l.tuples()[i];
-                    let lp = &lprof[i];
-                    for (rt, rp) in r.tuples().iter().zip(rprof.iter()) {
+                    for j in touched.drain(..) {
+                        let j = j as usize;
+                        let inter = std::mem::take(&mut overlap[j]);
                         ec.clock.tick().map_err(EngineError::from)?;
                         if let Some(f) = ec.fault.hit(fault::site::JOIN_TUPLE) {
                             return Err(injected(f));
                         }
-                        if !lp.may_match(rp) {
+                        let (rids, rsingle) = &rprof[j];
+                        let exact = *lsingle && *rsingle;
+                        let smaller = lids.len().min(rids.len());
+                        if exact && (inter as f64 / smaller as f64) < 0.8 {
                             continue;
                         }
                         // Per-morsel heuristic; re-checked at merge time.
                         if out.len() >= cap {
                             return Err(EngineError::TooLarge("similarity join result".into()));
                         }
+                        let rt = &r.tuples()[j];
                         let mut cells = Vec::with_capacity(lt.cells.len() + rt.cells.len());
                         cells.extend(lt.cells.iter().cloned());
                         cells.extend(rt.cells.iter().cloned());
-                        let must = lp.exact_pair(rp);
                         out.push(CompactTuple {
                             cells,
-                            maybe: lt.maybe || rt.maybe || !must,
+                            maybe: lt.maybe || rt.maybe || !exact,
                         });
                     }
                 }

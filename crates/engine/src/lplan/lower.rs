@@ -86,7 +86,7 @@ fn lower_run(
                 left: Box::new(lower(*left, ctx, report)?),
                 right: Box::new(lower(*right, ctx, report)?),
             };
-            // Keep the interpreter's token-prefilter similarity join: the
+            // Keep the interpreter's inverted-index similarity join: the
             // straddling filter stays a standalone FilterProc directly
             // above the CrossJoin, and the rest of the run fuses above it.
             if ops.first().is_some_and(|op| straddling_similar(op, la)) {

@@ -199,7 +199,7 @@ mod tests {
         );
         let explained = plan.explain();
         // The straddling similar filter must stay a standalone FilterProc
-        // directly above the CrossJoin so exec's token-prefilter join
+        // directly above the CrossJoin so exec's inverted-index join
         // specialization still applies.
         assert!(
             explained.contains("Filter[similar"),

@@ -297,14 +297,14 @@ fn schedule(ops: &[FusedOp], model: &SelModel<'_>) -> Vec<usize> {
     order
 }
 
-/// Is this step the interpreter's specialized token-prefilter similarity
+/// Is this step the interpreter's specialized inverted-index similarity
 /// join: a `similar`/`approxMatch` filter with exactly one column on
-/// each side of a join with left arity `la`?
+/// each side (in either order) of a join with left arity `la`?
 pub(super) fn straddling_similar(op: &FusedOp, la: usize) -> bool {
     match op {
         FusedOp::FilterProc { name, cols } => {
             (name == "similar" || name == "approxMatch")
-                && matches!(cols.as_slice(), [a, b] if *a < la && *b >= la)
+                && matches!(cols.as_slice(), [a, b] if (*a < la) != (*b < la))
         }
         _ => false,
     }

@@ -4,20 +4,29 @@
 
 use std::collections::BTreeSet;
 
-/// Lower-cases and splits into word/number tokens, dropping punctuation.
-pub fn norm_tokens(text: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
+/// Calls `f` on each lower-cased word/number token of `text`, in order and
+/// with repeats, dropping punctuation.
+pub fn each_token(text: &str, mut f: impl FnMut(&str)) {
     let mut cur = String::new();
     for c in text.chars() {
         if c.is_ascii_alphanumeric() {
             cur.push(c.to_ascii_lowercase());
         } else if !cur.is_empty() {
-            out.insert(std::mem::take(&mut cur));
+            f(&cur);
+            cur.clear();
         }
     }
     if !cur.is_empty() {
-        out.insert(cur);
+        f(&cur);
     }
+}
+
+/// Lower-cases and splits into word/number tokens, dropping punctuation.
+pub fn norm_tokens(text: &str) -> BTreeSet<String> {
+    let mut out = BTreeSet::new();
+    each_token(text, |t| {
+        out.insert(t.to_string());
+    });
     out
 }
 
@@ -46,53 +55,10 @@ pub fn containment(a: &str, b: &str) -> f64 {
     inter / smaller as f64
 }
 
-/// The default `similar` / `approxMatch` predicate: containment ≥ 0.8 with
-/// at least one shared non-trivial token.
+/// The default `similar` / `approxMatch` predicate: containment ≥ 0.8.
+/// Texts without a token (empty or punctuation-only) match nothing.
 pub fn approx_match(a: &str, b: &str) -> bool {
-    if a.trim().is_empty() || b.trim().is_empty() {
-        return false;
-    }
     containment(a, b) >= 0.8
-}
-
-/// A precomputed profile of one cell's text for the approximate string
-/// join (the paper defers its full treatment to the tech report; we use a
-/// token prefilter): the union of tokens the cell's values can draw from,
-/// plus the exact text when the cell is a singleton.
-#[derive(Debug, Clone)]
-pub struct SimProfile {
-    /// The tokens.
-    pub tokens: BTreeSet<String>,
-    /// The value's text when the cell encodes exactly one value.
-    pub singleton: Option<String>,
-}
-
-impl SimProfile {
-    /// May any value of `self` approximately match any value of `other`?
-    /// Sound prefilter: a match needs ≥ 0.8 containment, hence at least
-    /// one shared token. For singleton cells the precomputed token sets
-    /// give the exact containment decision without re-tokenizing.
-    pub fn may_match(&self, other: &SimProfile) -> bool {
-        if self.singleton.is_some() && other.singleton.is_some() {
-            let smaller = self.tokens.len().min(other.tokens.len());
-            if smaller == 0 {
-                return false;
-            }
-            let inter = self.tokens.intersection(&other.tokens).count();
-            return inter as f64 / smaller as f64 >= 0.8;
-        }
-        let (small, big) = if self.tokens.len() <= other.tokens.len() {
-            (&self.tokens, &other.tokens)
-        } else {
-            (&other.tokens, &self.tokens)
-        };
-        small.iter().any(|t| big.contains(t))
-    }
-
-    /// True when both sides are singletons (prefilter answer is exact).
-    pub fn exact_pair(&self, other: &SimProfile) -> bool {
-        self.singleton.is_some() && other.singleton.is_some()
-    }
 }
 
 #[cfg(test)]
@@ -126,5 +92,6 @@ mod tests {
         assert!(approx_match("Basktall HS", "Basktall"));
         assert!(!approx_match("Vanhise High", "Basktall"));
         assert!(!approx_match("", "x"));
+        assert!(!approx_match("?!", "?!"));
     }
 }

@@ -8,6 +8,7 @@
 
 use iflex_alog::parse_program;
 use iflex_ctable::{worlds, Assignment, Cell, CompactTable, CompactTuple, Value};
+use iflex_engine::similarity::approx_match;
 use iflex_engine::Engine;
 use iflex_features::FeatureArg;
 use iflex_text::{DocumentStore, Span};
@@ -185,6 +186,95 @@ fn join_contains_every_world_result() {
         }
     }
     assert_worlds_contain(&result, &store, &expected, "r ⋈ s");
+}
+
+/// Approximate string join: `q(a, b) :- r(a), s(b), similar(#a, #b).`
+/// over choice cells, maybe tuples, a certain singleton pair and a pair
+/// that shares tokens without any matching values. For
+/// every pair of input worlds the world-level join — the pairs whose
+/// texts `approx_match` — must be a world of the output (§4 superset
+/// semantics). Every arm of the ablation matrix (optimizer × columnar)
+/// and both argument orders must pass the oracle and agree byte for
+/// byte.
+#[test]
+fn similar_join_contains_every_world_result() {
+    let mut store = DocumentStore::new();
+    let d = store.add_plain("Basktall HS Vanhise High Basktall Vanhise");
+    let basktall_hs = Span::new(d, 0, 11);
+    let vanhise_high = Span::new(d, 12, 24);
+    let high = Span::new(d, 20, 24);
+    let basktall = Span::new(d, 0, 8);
+    let basktall2 = Span::new(d, 25, 33);
+    let vanhise = Span::new(d, 34, 41);
+    let hs_vanhise = Span::new(d, 9, 19);
+    let basktall_vanhise = Span::new(d, 25, 41);
+    let store = Arc::new(store);
+
+    let mut r = CompactTable::new(vec!["a".into()]);
+    r.push(CompactTuple::new(vec![Cell::of(vec![
+        Assignment::exact_span(basktall_hs),
+        Assignment::exact_span(vanhise_high),
+    ])]));
+    r.push(CompactTuple::maybe(vec![Cell::exact(Value::Span(high))]));
+    r.push(CompactTuple::new(vec![Cell::exact(Value::Span(basktall))]));
+
+    let mut s = CompactTable::new(vec!["b".into()]);
+    s.push(CompactTuple::new(vec![Cell::exact(Value::Span(basktall2))]));
+    s.push(CompactTuple::maybe(vec![Cell::of(vec![
+        Assignment::exact_span(vanhise),
+        Assignment::exact_span(basktall),
+    ])]));
+    // Shares tokens with `r`'s first cell, yet no pair of their values
+    // reaches 0.8 containment: a `maybe` row in every arm.
+    s.push(CompactTuple::new(vec![Cell::of(vec![
+        Assignment::exact_span(hs_vanhise),
+        Assignment::exact_span(basktall_vanhise),
+    ])]));
+
+    let r_worlds = worlds::worlds_of_compact(&r, &store, BUDGET).unwrap();
+    let s_worlds = worlds::worlds_of_compact(&s, &store, BUDGET).unwrap();
+    let text = |v: &Value| v.as_text(&store).into_owned();
+    let mut expected: BTreeSet<Relation> = BTreeSet::new();
+    for wr in &r_worlds {
+        for ws in &s_worlds {
+            let mut rel = Relation::new();
+            for rr in wr {
+                for sr in ws {
+                    if approx_match(&text(&rr[0]), &text(&sr[0])) {
+                        rel.insert(vec![rr[0].clone(), sr[0].clone()]);
+                    }
+                }
+            }
+            expected.insert(rel);
+        }
+    }
+    assert!(
+        expected.iter().any(|rel| !rel.is_empty()),
+        "some world must join"
+    );
+
+    let mut rendered = BTreeSet::new();
+    for prog_src in [
+        "q(a, b) :- r(a), s(b), similar(#a, #b).",
+        "q(a, b) :- r(a), s(b), similar(#b, #a).",
+    ] {
+        for use_optimizer in [true, false] {
+            for use_columnar in [true, false] {
+                let mut eng = Engine::new(Arc::clone(&store));
+                eng.limits.use_optimizer = use_optimizer;
+                eng.limits.use_columnar = use_columnar;
+                eng.add_table("r", r.clone());
+                eng.add_table("s", s.clone());
+                let result = eng.run(&parse_program(prog_src).unwrap()).unwrap();
+                let what = format!(
+                    "r ⋈~ s: {prog_src} (optimizer={use_optimizer}, columnar={use_columnar})"
+                );
+                assert_worlds_contain(&result, &store, &expected, &what);
+                rendered.insert(format!("{result:?}"));
+            }
+        }
+    }
+    assert_eq!(rendered.len(), 1, "ablation arms diverged: {rendered:#?}");
 }
 
 /// Domain-constraint selection: `q(v) :- t(v), numeric(v) = yes.` Unlike
